@@ -10,7 +10,7 @@ use spatial_store::{
 };
 use spatial_tree::Tree;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The clock a worker charges its busy time on: per-thread CPU time,
@@ -196,7 +196,8 @@ pub struct TenantLog {
     pub streams: Vec<Vec<Request>>,
 }
 
-/// Shutdown summary of one shard (= one worker thread).
+/// Shutdown summary of one shard (one worker thread plus the helpers
+/// it fans a cycle's tenants out to).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index (`0..workers`).
@@ -208,12 +209,20 @@ pub struct ShardReport {
     /// Coalesced sessions executed (`≤ jobs`; the coalescing win is
     /// `jobs / executes`).
     pub executes: u64,
-    /// CPU time this worker spent executing (drain + execute + reply),
-    /// excluding idle blocking on the queue, measured on the
-    /// per-thread CPU clock so co-scheduled workers on an
-    /// oversubscribed host don't leak into each other's figure. The
-    /// critical-path denominator of the modeled aggregate throughput.
+    /// CPU time this shard spent executing (drain + execute + reply),
+    /// excluding idle blocking on the queue: the **summed** per-thread
+    /// CPU time of the worker and of every helper thread it fanned a
+    /// cycle's tenant sessions out to. Measured on the per-thread CPU
+    /// clock so co-scheduled workers on an oversubscribed host don't
+    /// leak into each other's figure, and summed across helpers so it
+    /// stays the compute the shard performed whatever the fan-out
+    /// width. The critical-path denominator of the modeled aggregate
+    /// throughput.
     pub busy: Duration,
+    /// Helper threads spawned over the run to fan cycles out across
+    /// idle cores (see [`ForestService`]); zero when every cycle ran
+    /// at width 1.
+    pub helper_spawns: u64,
     /// Whether the shard's worker died (panicked) instead of exiting
     /// cleanly. A poisoned shard's counters and logs cover only what
     /// the unwind left recoverable — nothing, with the current
@@ -233,6 +242,7 @@ impl ShardReport {
             requests: 0,
             executes: 0,
             busy: Duration::ZERO,
+            helper_spawns: 0,
             poisoned: true,
             tenants: Vec::new(),
         }
@@ -586,11 +596,21 @@ fn commit_session(state: &mut TenantState) {
 /// A fixed pool of worker threads serving many tenants' forests.
 ///
 /// Tenant `t` is owned by shard `t % workers`: all of a tenant's
-/// requests execute on one thread, in submission order, against
-/// thread-exclusive state — the hot path takes **no locks** and shares
-/// **no cache lines** across shards. Cross-thread communication is
-/// confined to the bounded job queue in front of each shard and the
-/// per-job reply channel, both carrying whole batches.
+/// requests are drained by one worker, in submission order, and each
+/// cycle runs one session per tenant against state no other shard can
+/// reach — the hot path takes **no locks** and shares **no cache
+/// lines** across shards. Cross-thread communication is confined to
+/// the bounded job queue in front of each shard and the per-job reply
+/// channel, both carrying whole batches.
+///
+/// When the host has more cores than workers, a worker fans a cycle's
+/// tenant sessions out across `min(tenants in the cycle,
+/// max(1, cores / workers))` threads — itself plus scoped helpers,
+/// each handed a disjoint `&mut` tenant — where `cores` is
+/// `rayon::current_num_threads()` (honouring `SPATIAL_THREADS`).
+/// Answers and charges do not depend on the width; replies of
+/// different tenants may complete out of submission order, replies of
+/// one tenant never do.
 pub struct ForestService {
     txs: Vec<Sender<Job>>,
     handles: Vec<std::thread::JoinHandle<ShardReport>>,
@@ -735,11 +755,121 @@ impl Drop for ForestService {
     }
 }
 
+/// Threads a cycle's tenant sessions run on: one per distinct tenant
+/// in the cycle, capped at the shard's share of the cores
+/// (`rayon::current_num_threads() / workers`, at least 1). Derived, not
+/// configured: a width past the shard's core share only time-slices
+/// sessions that would otherwise queue, and `SPATIAL_THREADS` already
+/// pins the core count when a run must.
+fn fanout_width(cycle_tenants: usize, workers: usize) -> usize {
+    cycle_tenants.min((rayon::current_num_threads() / workers).max(1))
+}
+
+/// Runs `run` over every task on the calling thread plus one scoped
+/// helper thread per extra scratch lane, each thread claiming the next
+/// unclaimed task from a shared cursor and reusing its own lane.
+/// Returns the helpers' summed CPU time. A single lane runs the tasks
+/// inline and spawns nothing. The cursor's lock is held only to claim
+/// a task, never while one runs; a panicking task propagates to the
+/// caller once every thread has finished.
+fn fan_out<T: Send, L: Send>(
+    tasks: Vec<T>,
+    lanes: &mut [L],
+    run: impl Fn(T, &mut L) + Sync,
+) -> Duration {
+    let cursor = Mutex::new(tasks.into_iter());
+    let work = |lane: &mut L| {
+        let claim = || {
+            cursor
+                .lock()
+                .expect("no task runs while the cursor is locked")
+                .next()
+        };
+        while let Some(task) = claim() {
+            run(task, lane);
+        }
+    };
+    let (own, helpers) = lanes.split_first_mut().expect("at least one lane");
+    if helpers.is_empty() {
+        work(own);
+        return Duration::ZERO;
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|lane| {
+                s.spawn(|| {
+                    let t0 = thread_clock::now();
+                    work(lane);
+                    thread_clock::now().saturating_sub(t0)
+                })
+            })
+            .collect();
+        work(own);
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .sum()
+    })
+}
+
+/// Runs one tenant's share of a cycle: its jobs' requests concatenated
+/// in arrival order (in `stream`) as one charge-batched session,
+/// materializing a lazy durable slot first, committing durable
+/// sessions (marker + fsync, maybe a checkpoint) and then replying per
+/// job.
+fn run_tenant_session(
+    slot: &mut TenantSlot,
+    jobs: &[Job],
+    stream: &mut Vec<Request>,
+    opts: &ServiceOptions,
+    dur: Option<&DurabilityOptions>,
+) {
+    let tenant = slot.tenant();
+    stream.clear();
+    for job in jobs.iter().filter(|j| j.tenant == tenant) {
+        stream.extend_from_slice(&job.requests);
+    }
+    if let TenantSlot::Lazy { tenant, tree } = slot {
+        let dur = dur.expect("lazy slots are durable");
+        *slot = TenantSlot::Ready(Box::new(start_tenant_durable(*tenant, tree, opts, dur)));
+    }
+    let state = match slot {
+        TenantSlot::Ready(state) => state,
+        TenantSlot::Lazy { .. } => unreachable!("materialized above"),
+    };
+    // Slice the session's responses back out per job.
+    let responses = state.forest.execute(stream, &mut state.rng);
+    let mut off = 0usize;
+    let replies: Vec<Vec<Response>> = jobs
+        .iter()
+        .filter(|j| j.tenant == tenant)
+        .map(|job| {
+            let len = job.requests.len();
+            off += len;
+            responses[off - len..off].to_vec()
+        })
+        .collect();
+    state.reports.push(state.forest.last_report());
+    if opts.record_streams {
+        state.streams.push(stream.clone());
+    }
+    // Durable tenants commit (marker + fsync, maybe a checkpoint)
+    // *before* replying: an answered ticket is always a recoverable
+    // session.
+    commit_session(state);
+    for (job, reply) in jobs.iter().filter(|j| j.tenant == tenant).zip(replies) {
+        // A dropped ticket is fine — the work is already done.
+        let _ = job.reply.send(reply);
+    }
+}
+
 /// The shard worker: blockingly pops one job, opportunistically drains
-/// more up to the coalesce target, executes one charge-batched session
-/// per tenant present, then replies per job. A durable tenant's slot
-/// is materialized (recovered from its snapshot + journal, warmstarted)
-/// the first time a job names it.
+/// more up to the coalesce target, then runs one charge-batched session
+/// per tenant present — fanned out across [`fanout_width`] threads —
+/// each replying per job. A durable tenant's slot is materialized
+/// (recovered from its snapshot + journal, warmstarted) the first time
+/// a job names it, on whichever thread runs its session.
 fn worker_loop(
     shard: usize,
     rx: Receiver<Job>,
@@ -748,17 +878,16 @@ fn worker_loop(
     dur: Option<DurabilityOptions>,
 ) -> ShardReport {
     let coalesce_target = opts.coalesce_target;
-    let record = opts.record_streams;
     let mut jobs_total = 0u64;
     let mut requests_total = 0u64;
     let mut executes = 0u64;
+    let mut helper_spawns = 0u64;
     let mut busy = Duration::ZERO;
-    // Retained cycle scratch: the drained jobs, the distinct tenants
-    // of the cycle, and the concatenated per-tenant request stream.
+    // Retained cycle scratch: the drained jobs, and one
+    // concatenated-request-stream lane per thread of the widest
+    // fan-out so far.
     let mut jobs: Vec<Job> = Vec::new();
-    let mut cycle_tenants: Vec<u32> = Vec::new();
-    let mut stream: Vec<Request> = Vec::new();
-    let mut responses: Vec<Response> = Vec::new();
+    let mut lanes: Vec<Vec<Request>> = Vec::new();
 
     while let Ok(first) = rx.recv() {
         let t0 = thread_clock::now();
@@ -775,55 +904,29 @@ fn worker_loop(
                 Err(_) => break,
             }
         }
-        // One charged session per distinct tenant, preserving each
-        // tenant's arrival order (the drain above is FIFO).
-        cycle_tenants.clear();
-        for job in &jobs {
-            if !cycle_tenants.contains(&job.tenant) {
-                cycle_tenants.push(job.tenant);
-            }
+        // One charged session per distinct tenant, as disjoint `&mut`
+        // borrows of the cycle's slots in first-arrival order (the
+        // drain above is FIFO): each thread owns the tenants it claims
+        // outright.
+        let first_job = |slot: &TenantSlot| jobs.iter().position(|j| j.tenant == slot.tenant());
+        let mut tasks: Vec<&mut TenantSlot> = slots
+            .iter_mut()
+            .filter(|s| first_job(s).is_some())
+            .collect();
+        tasks.sort_by_key(|s| first_job(s));
+        executes += tasks.len() as u64;
+        let width = fanout_width(tasks.len(), opts.workers);
+        if lanes.len() < width {
+            lanes.resize_with(width, Vec::new);
         }
-        for &tenant in &cycle_tenants {
-            stream.clear();
-            for job in jobs.iter().filter(|j| j.tenant == tenant) {
-                stream.extend_from_slice(&job.requests);
-            }
-            let slot = slots
-                .iter_mut()
-                .find(|s| s.tenant() == tenant)
-                .expect("tenant sharded to this worker");
-            if let TenantSlot::Lazy { tenant, tree } = slot {
-                let dur = dur.as_ref().expect("lazy slots are durable");
-                *slot =
-                    TenantSlot::Ready(Box::new(start_tenant_durable(*tenant, tree, &opts, dur)));
-            }
-            let state = match slot {
-                TenantSlot::Ready(state) => state,
-                TenantSlot::Lazy { .. } => unreachable!("materialized above"),
-            };
-            responses.clear();
-            responses.extend_from_slice(state.forest.execute(&stream, &mut state.rng));
-            state.reports.push(state.forest.last_report());
-            if record {
-                state.streams.push(stream.clone());
-            }
-            // Durable tenants commit (marker + fsync, maybe a
-            // checkpoint) *before* replying: an answered ticket is
-            // always a recoverable session.
-            commit_session(state);
-            // Slice the session's responses back out per job.
-            let mut off = 0usize;
-            for job in jobs.iter().filter(|j| j.tenant == tenant) {
-                let len = job.requests.len();
-                // A dropped ticket is fine — the work is already done.
-                let _ = job.reply.send(responses[off..off + len].to_vec());
-                off += len;
-            }
-            executes += 1;
-        }
+        let jobs = &jobs;
+        let helper_busy = fan_out(tasks, &mut lanes[..width], |slot, stream| {
+            run_tenant_session(slot, jobs, stream, &opts, dur.as_ref())
+        });
+        helper_spawns += width as u64 - 1;
         jobs_total += jobs.len() as u64;
         requests_total += pending as u64;
-        busy += thread_clock::now().saturating_sub(t0);
+        busy += thread_clock::now().saturating_sub(t0) + helper_busy;
     }
 
     ShardReport {
@@ -832,6 +935,7 @@ fn worker_loop(
         requests: requests_total,
         executes,
         busy,
+        helper_spawns,
         poisoned: false,
         tenants: slots
             .into_iter()
@@ -1008,5 +1112,32 @@ mod tests {
             assert_eq!(twin_answers, service_answers, "tenant {tenant}");
             assert_eq!(twin_reports, log.reports, "tenant {tenant}");
         }
+    }
+
+    #[test]
+    fn fan_out_runs_every_task_once_on_each_lane_thread() {
+        // Three lanes: the caller plus two helpers, each recording the
+        // tasks it ran and the thread it ran them on.
+        let mut lanes: Vec<Vec<(u32, std::thread::ThreadId)>> = vec![Vec::new(); 3];
+        fan_out((0..40u32).collect(), &mut lanes, |task, lane| {
+            lane.push((task, std::thread::current().id()));
+        });
+        let mut ran: Vec<u32> = lanes.iter().flatten().map(|&(t, _)| t).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..40).collect::<Vec<_>>());
+        assert!(lanes[0]
+            .iter()
+            .all(|&(_, id)| id == std::thread::current().id()));
+        for lane in &lanes[1..] {
+            assert!(lane
+                .iter()
+                .all(|&(_, id)| id != std::thread::current().id()));
+        }
+
+        // One lane: inline, in order, no helper CPU.
+        let mut lanes = vec![Vec::new()];
+        let helper_busy = fan_out(vec![5u32, 1, 3], &mut lanes, |task, lane| lane.push(task));
+        assert_eq!(lanes[0], vec![5, 1, 3]);
+        assert_eq!(helper_busy, Duration::ZERO);
     }
 }

@@ -10,6 +10,8 @@
 //! and checks the recovered tenants continue bit-identically (answers
 //! and charges) with a never-stopped twin.
 
+mod common;
+
 use rand::prelude::*;
 use spatial_serve::{tenant_seed, DurabilityOptions, ForestService, ServeError, ServiceOptions};
 use spatial_session::{QueryBatch, Response, SessionReport, SpatialForest};
@@ -101,13 +103,97 @@ fn jobs_queued_behind_the_killer_disconnect_promptly() {
     });
 }
 
+/// A poison job for tenant 0 in the same cycle as tenant 1's job, on
+/// one worker fanned out two wide (`SPATIAL_THREADS=2`): the blast
+/// radius is the shard, exactly as without fan-out. The poisoned
+/// ticket fails, tenant 1's ticket resolves either way without
+/// hanging, later submits fail, and both `shutdown` and `Drop` survive
+/// the dead shard.
+#[test]
+fn poisoned_tenant_under_fanout_loses_the_shard() {
+    if !common::under_spatial_threads("poisoned_tenant_under_fanout_loses_the_shard", 2) {
+        return;
+    }
+    with_quiet_panics(|| {
+        for shut_down in [true, false] {
+            let ts = trees(2, 100, 35);
+            let mut opts = ServiceOptions::new(1);
+            opts.queue_capacity = 32;
+            let service = ForestService::start(&ts, opts);
+
+            // A bulky head job keeps the worker busy while the poison
+            // pill and tenant 1's job queue up behind it, so the next
+            // cycle holds both tenants.
+            let mut big = QueryBatch::new();
+            for i in 0..900u32 {
+                let v = i % 100;
+                big.lca(v, (v * 7) % 100).subtree_sum(v).rank(v);
+            }
+            let head = service.submit(1, big.requests());
+            let mut poison = QueryBatch::new();
+            poison.rank(u32::MAX);
+            let killer = service.submit(0, poison.requests());
+            let mut small = QueryBatch::new();
+            small.subtree_sum(0).lca(3, 9);
+            let sibling = service.submit(1, small.requests());
+
+            assert!(matches!(
+                head.wait(),
+                Ok(_) | Err(ServeError::WorkerLost { shard: 0 })
+            ));
+            assert_eq!(killer.wait(), Err(ServeError::WorkerLost { shard: 0 }));
+            match sibling.wait() {
+                Ok(answers) => assert_eq!(answers.len(), 2),
+                Err(e) => assert_eq!(e, ServeError::WorkerLost { shard: 0 }),
+            }
+            for tenant in 0..2u32 {
+                let late = service.submit(tenant, small.requests());
+                assert_eq!(late.wait(), Err(ServeError::WorkerLost { shard: 0 }));
+            }
+
+            if shut_down {
+                let report = service.shutdown();
+                assert_eq!(report.poisoned_shards(), vec![0]);
+            } else {
+                drop(service);
+            }
+        }
+    });
+}
+
 #[test]
 fn durable_service_recovers_bit_identical_across_restart() {
-    let dir = std::env::temp_dir().join(format!("spatial-serve-durable-{}", std::process::id()));
+    durable_restart_differential(2, "serial");
+}
+
+/// The restart differential with cycles fanned out across helper
+/// threads (`SPATIAL_THREADS=4`): lazy recovery, commits and
+/// checkpoints then run on whichever thread claims the tenant, and the
+/// recovered service must still match the never-stopped twin bit for
+/// bit.
+#[test]
+fn durable_restart_under_fanout_matches_twin() {
+    if !common::under_spatial_threads("durable_restart_under_fanout_matches_twin", 4) {
+        return;
+    }
+    durable_restart_differential(1, "fanout");
+    durable_restart_differential(2, "fanout");
+}
+
+/// Serves five rounds of 3 tenants durably on `workers` workers,
+/// restarts from the durable files, serves five more, and pins the
+/// recovered answers and charges against a never-stopped twin. `tag`
+/// keeps the durable directories of concurrently running callers
+/// apart.
+fn durable_restart_differential(workers: usize, tag: &str) {
+    let dir = std::env::temp_dir().join(format!(
+        "spatial-serve-durable-{}-{tag}-{workers}w",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
 
     let ts = trees(3, 150, 33);
-    let mut opts = ServiceOptions::new(2);
+    let mut opts = ServiceOptions::new(workers);
     opts.record_streams = true;
     // Interval 2 forces checkpoints (and journal-generation switches)
     // mid-run, not just the one at startup.

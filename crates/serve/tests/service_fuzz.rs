@@ -8,6 +8,8 @@
 //! jobs coalesce into a session (that's what the recorded streams
 //! capture), never what any session computes or charges.
 
+mod common;
+
 use rand::prelude::*;
 use spatial_serve::{tenant_seed, ForestService, ServiceOptions};
 use spatial_session::{QueryBatch, Request, Response, SessionReport, SpatialForest};
@@ -41,8 +43,17 @@ fn random_stream(
 /// Drives `tenants` tenants × `rounds` jobs through a service with the
 /// given worker count, then pins every tenant's answers and session
 /// reports against its single-threaded twin replaying the recorded
-/// streams.
-fn differential_run(workers: usize, tenants: u32, rounds: usize, seed: u64) {
+/// streams. A non-zero `head_len` first submits one bulky job of that
+/// many requests for tenant 0, which keeps the worker busy while the
+/// rounds queue behind it, so later cycles hold several tenants even
+/// on one core. Returns the helper threads the shards spawned.
+fn differential_run(
+    workers: usize,
+    tenants: u32,
+    rounds: usize,
+    seed: u64,
+    head_len: usize,
+) -> u64 {
     let mut tree_rng = StdRng::seed_from_u64(seed);
     let trees: Vec<Tree> = (0..tenants)
         .map(|_| generators::uniform_random(tree_rng.gen_range(120..260), &mut tree_rng))
@@ -59,6 +70,10 @@ fn differential_run(workers: usize, tenants: u32, rounds: usize, seed: u64) {
     // tenant the jobs still arrive in order, which is the service's
     // ordering contract.
     let mut tickets: Vec<(u32, spatial_serve::Ticket)> = Vec::new();
+    if head_len > 0 {
+        sizes[0] = random_stream(&mut batch, sizes[0], head_len, 15, &mut stream_rng);
+        tickets.push((0, service.submit(0, batch.requests())));
+    }
     for _ in 0..rounds {
         for tenant in 0..tenants {
             batch.clear();
@@ -73,13 +88,17 @@ fn differential_run(workers: usize, tenants: u32, rounds: usize, seed: u64) {
     }
     let report = service.shutdown();
     assert_eq!(report.shards.len(), workers);
-    assert_eq!(report.total_jobs(), rounds as u64 * tenants as u64);
+    let head_jobs = u64::from(head_len > 0);
+    assert_eq!(
+        report.total_jobs(),
+        rounds as u64 * tenants as u64 + head_jobs
+    );
 
     for tenant in 0..tenants {
         let log = report.tenant_log(tenant).expect("tenant served");
         assert_eq!(
             log.streams.iter().map(Vec::len).sum::<usize>(),
-            rounds * 30,
+            rounds * 30 + if tenant == 0 { head_len } else { 0 },
             "tenant {tenant}: recorded streams cover every request"
         );
         let mut twin = SpatialForest::with_options(&trees[tenant as usize], opts.forest);
@@ -111,6 +130,7 @@ fn differential_run(workers: usize, tenants: u32, rounds: usize, seed: u64) {
             "tenant {tenant}: queries were never priced"
         );
     }
+    report.shards.iter().map(|s| s.helper_spawns).sum()
 }
 
 /// The headline configuration from the issue: 8 tenants on 4 workers,
@@ -118,14 +138,14 @@ fn differential_run(workers: usize, tenants: u32, rounds: usize, seed: u64) {
 #[test]
 fn four_worker_service_matches_single_threaded_twins() {
     for seed in [1u64, 7, 4242] {
-        differential_run(4, 8, 5, seed);
+        differential_run(4, 8, 5, seed, 0);
     }
 }
 
 /// Worker counts that don't divide the tenant count evenly still pin.
 #[test]
 fn uneven_sharding_matches_twins() {
-    differential_run(3, 7, 4, 99);
+    differential_run(3, 7, 4, 99, 0);
 }
 
 /// Fixed-seed 2-worker / 2-tenant smoke for both CI legs: small,
@@ -154,4 +174,44 @@ fn fixed_seed_two_worker_smoke() {
         .shards
         .iter()
         .all(|s| s.tenants.len() == 1 && s.jobs == 1));
+}
+
+/// Forced fan-out: with `SPATIAL_THREADS=4`, a 1-worker × 4-tenant and
+/// a 2-worker × 5-tenant service fan each cycle's tenant sessions out
+/// across helper threads even on a 1-core host, and every answer and
+/// per-session charge still matches the single-threaded twins. With
+/// as many workers as cores (4 × 8) each shard's width is 1 and no
+/// helper is spawned.
+#[test]
+fn forced_fanout_matches_single_threaded_twins() {
+    if !common::under_spatial_threads("forced_fanout_matches_single_threaded_twins", 4) {
+        return;
+    }
+    for seed in [3u64, 11] {
+        let helpers = differential_run(1, 4, 5, seed, 2_000);
+        assert!(
+            helpers > 0,
+            "seed {seed}: 1 worker x 4 tenants never fanned out"
+        );
+        let helpers = differential_run(2, 5, 5, seed, 2_000);
+        assert!(
+            helpers > 0,
+            "seed {seed}: 2 workers x 5 tenants never fanned out"
+        );
+    }
+    assert_eq!(
+        differential_run(4, 8, 5, 5, 2_000),
+        0,
+        "workers >= cores must not spawn helpers"
+    );
+}
+
+/// `SPATIAL_THREADS=1`: the worker runs every cycle inline, spawning
+/// no helper thread, with the same twin-identical answers and charges.
+#[test]
+fn single_thread_runs_cycles_inline() {
+    if !common::under_spatial_threads("single_thread_runs_cycles_inline", 1) {
+        return;
+    }
+    assert_eq!(differential_run(1, 4, 5, 3, 2_000), 0);
 }
